@@ -25,12 +25,18 @@
 ///
 ///  * **τ-leaping.** At large n the engine freezes the per-state counts for
 ///    a leap of L = n/`leap_divisor` steps and spreads the L interactions
-///    over the states at once: initiator and responder multisets are
-///    multinomial draws over the counts (conditional chains of `binomial`
-///    draws — the with-replacement sibling of the batched engine's
-///    hypergeometric chains), paired through the pluggable batch-pairing
-///    layer (batch_pairing.hpp) and applied through the shared memoised
-///    transition cache with per-cell multiplicities. Unlike the batched
+///    over the states at once. The initiator multiset x is a multinomial
+///    draw over the counts (a conditional chain of `binomial` draws — the
+///    with-replacement sibling of the batched engine's hypergeometric
+///    chains). Given x, row a of the leap's pair table is an independent
+///    Multinomial(x_a, c/n), so on *wide* leaps (distinct initiators × live
+///    states > L) the rows are sampled directly, by picks from an exact
+///    integer alias table over the live counts (`LeapRowSampler`,
+///    batch_pairing.hpp), with no responder multiset and no bijection;
+///    narrow leaps draw a responder multinomial and pair it by contingency
+///    table. Both give the same table distribution. The table's cells are
+///    applied through the shared memoised transition cache with per-cell
+///    multiplicities. Unlike the batched
 ///    engine, a leap is NOT bounded by the birthday-problem collision-free
 ///    run (Θ(√n)): the per-leap O(#live states + #cells) overheads amortise
 ///    over Θ(n) steps, which is what wins on wide-state protocols where
@@ -131,8 +137,10 @@ public:
 
     /// \param threads  intra-run worker count: 1 (default) keeps the
     /// pre-existing sequential engine bit-for-bit; 0 means hardware
-    /// concurrency; ≥ 2 shards the leap multiset chains (and rated cell
-    /// pre-thinning) per the stream-split contract (shard.hpp). The exact
+    /// concurrency; ≥ 2 shards the leap multiset chains (the initiator
+    /// chain, and the responder chain of narrow leaps) and rated cell
+    /// pre-thinning per the stream-split contract (shard.hpp); wide-leap
+    /// rows are drawn sequentially on the main stream. The exact
     /// SSA paths and `build_channels` stay sequential by design: they only
     /// run while d ≤ channel_state_cap = 32 live states, below any useful
     /// sharding threshold.
@@ -649,16 +657,26 @@ private:
     // --- τ-leaping ---------------------------------------------------------
 
     /// Advances `len` steps with propensities frozen at the current counts:
-    /// multinomial initiator/responder multisets, a uniform pairing through
-    /// the batch-pairing layer, and clamped per-cell application (plus a
-    /// binomial thinning per cell for rated protocols, identical in
-    /// distribution to the batched engine's thinning).
+    /// a multinomial initiator multiset, the pair table over it, and clamped
+    /// per-cell application (plus a binomial thinning per cell for rated
+    /// protocols, identical in distribution to the batched engine's
+    /// thinning). Wide leaps (distinct initiators × live states > len) fill
+    /// the table row by row from an alias table over the live counts
+    /// (`LeapRowSampler`, sequential on rng_); narrow ones draw a responder
+    /// multinomial and pair it by contingency table. Both sample the same
+    /// table distribution.
     StepCount leap_round(StepCount len) {
         const StepCount steps_before = steps_;
         sample_leap_multiset(len, initiators_);
-        sample_leap_multiset(len, responders_);
-        sample_batch_pairing(BatchMode::automatic, rng_, initiators_, responders_, len,
-                             pairs_);
+        if (LeapRowSampler::pays(initiators_.size(), store_.live_ids().size(), len)) {
+            rows_.build(store_.live_ids(), store_.counts());
+            rows_.sample(rng_, initiators_, pairs_);
+        } else {
+            // Narrow implies distinct initiators × distinct responders ≤ len,
+            // the profile on which `auto` pairing picks the table anyway.
+            sample_leap_multiset(len, responders_);
+            sample_batch_pairing(BatchMode::bulk, rng_, initiators_, responders_, len, pairs_);
+        }
 
         std::vector<std::uint64_t>& counts = store_.counts();
         applied_mult_.clear();
@@ -911,6 +929,7 @@ private:
     double w_rated_ = 0.0;                ///< Σ rated weights of channels_ (rated)
     StateMultiset initiators_;
     StateMultiset responders_;
+    LeapRowSampler rows_;  ///< wide-leap row sampler (alias table + row buffers)
     BatchPairs pairs_;
     std::vector<std::uint32_t> applied_mult_;  ///< per-cell applied multiplicity
     std::vector<std::int8_t> scratch_deltas_;

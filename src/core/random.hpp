@@ -503,7 +503,8 @@ template <typename Generator>
 /// is the dense reference form: its distribution tests in test_random.cpp
 /// pin the chain math, while the Gillespie engine's τ-leap path runs the
 /// same chain as a sparse specialisation over its (state id, count) live
-/// list (`GillespieEngine::sample_leap_multiset`) — changes to either
+/// list (`GillespieEngine::sample_leap_multiset`, and the heavy rows of
+/// `LeapRowSampler` in batch_pairing.hpp) — changes to either
 /// chain's fast paths should be mirrored in the other, exactly as for the
 /// hypergeometric chain and `ContingencyTablePairing`. `counts` and `out`
 /// may alias.
@@ -541,6 +542,105 @@ template <typename Generator>
     multinomial(gen, counts.data(), counts.size(), trials, out.data());
     return out;
 }
+
+/// Exact integer Walker/Vose alias table: one `sample` returns index i with
+/// probability exactly w_i / W over m integer weights with total W = Σ w_i.
+/// The table has m buckets of capacity W; bucket k gives its first
+/// `threshold` slots to `primary` and the rest to `alias`. Scaling every
+/// weight by m makes the bucket masses integral (w_i·m of the m·W slots), so
+/// Vose's pairing of under- and over-full buckets runs in exact integer
+/// arithmetic and each index owns exactly w_i·m of the m·W equally likely
+/// (bucket, slot) outcomes — no floating-point rounding anywhere. A draw is
+/// two `uniform_below` calls and one compare; a build is O(m). The τ-leap
+/// row sampler (`LeapRowSampler`, batch_pairing.hpp) rebuilds one per wide
+/// leap over the live counts.
+class AliasTable {
+public:
+    /// Builds the table over `weights[0..m)`. Throws InvalidArgument when m
+    /// is 0 or does not fit in 32 bits, when the weights sum to zero, or when
+    /// W, some w_i·m or m·W does not fit in 64 bits.
+    void build(const std::uint64_t* weights, std::size_t m) {
+        if (m == 0 || m > std::numeric_limits<std::uint32_t>::max()) [[unlikely]] {
+            require(false, "alias table needs between 1 and 2^32 - 1 weights");
+        }
+        std::uint64_t total = 0;
+        for (std::size_t i = 0; i < m; ++i) {
+            if (__builtin_add_overflow(total, weights[i], &total)) [[unlikely]] {
+                require(false, "alias table weights overflow 64 bits");
+            }
+        }
+        std::uint64_t slots = 0;
+        if (total == 0 || __builtin_mul_overflow(total, m, &slots)) [[unlikely]] {
+            require(false, "alias table needs a total weight W > 0 with m*W below 2^64");
+        }
+        capacity_ = total;
+        buckets_.resize(m);
+        scaled_.resize(m);
+        small_.clear();
+        large_.clear();
+        for (std::size_t i = 0; i < m; ++i) {
+            // Implied by m·W fitting, but checked on its own: the scaled
+            // weights are what the exactness argument rests on.
+            if (__builtin_mul_overflow(weights[i], m, &scaled_[i])) [[unlikely]] {
+                require(false, "alias table weight times size overflows 64 bits");
+            }
+            (scaled_[i] < total ? small_ : large_).push_back(static_cast<std::uint32_t>(i));
+        }
+        // Vose: fill each under-full bucket from one over-full index. The
+        // integer masses keep Σ unassigned = W · #unassigned exactly, so the
+        // leftovers are precisely full.
+        while (!small_.empty() && !large_.empty()) {
+            const std::uint32_t s = small_.back();
+            small_.pop_back();
+            const std::uint32_t l = large_.back();
+            buckets_[s] = Bucket{scaled_[s], s, l};
+            scaled_[l] -= total - scaled_[s];
+            if (scaled_[l] < total) {
+                large_.pop_back();
+                small_.push_back(l);
+            }
+        }
+        for (const std::vector<std::uint32_t>* rest : {&small_, &large_}) {
+            for (const std::uint32_t i : *rest) {
+                if (scaled_[i] != total) [[unlikely]] {
+                    ensure(false, "alias table left a partial bucket");
+                }
+                buckets_[i] = Bucket{total, i, i};
+            }
+        }
+    }
+
+    /// Draws one index: a uniform bucket, then a uniform slot within it.
+    template <typename Generator>
+    [[nodiscard]] std::uint32_t sample(Generator& gen) const noexcept {
+        const std::uint64_t bucket = uniform_below(gen, buckets_.size());
+        return outcome(static_cast<std::size_t>(bucket), uniform_below(gen, capacity_));
+    }
+
+    /// The index owning outcome (bucket, slot), slot < capacity().
+    [[nodiscard]] std::uint32_t outcome(std::size_t bucket, std::uint64_t slot) const noexcept {
+        const Bucket& b = buckets_[bucket];
+        return slot < b.threshold ? b.primary : b.alias;
+    }
+
+    /// Number of buckets m (= number of weights).
+    [[nodiscard]] std::size_t size() const noexcept { return buckets_.size(); }
+    /// Slots per bucket: the total weight W.
+    [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
+
+private:
+    struct Bucket {
+        std::uint64_t threshold;
+        std::uint32_t primary;
+        std::uint32_t alias;
+    };
+
+    std::vector<Bucket> buckets_;
+    std::vector<std::uint64_t> scaled_;  ///< build workspace: w_i·m, then what is left
+    std::vector<std::uint32_t> small_;   ///< build workspace: under-full indices
+    std::vector<std::uint32_t> large_;   ///< build workspace: full or over-full indices
+    std::uint64_t capacity_ = 0;
+};
 
 /// Samples the hypergeometric distribution: the number of successes among
 /// `draws` draws without replacement from a population of `total` items of

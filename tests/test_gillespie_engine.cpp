@@ -9,19 +9,25 @@
 //    property the KS harness in test_statistical.cpp relies on);
 //  * the run/verify surface (run_for step exactness, verify_outputs_stable);
 //  * the engine-table row, registry dispatch and Simulation adapter
-//    (snapshots, observers) for the third back-end.
+//    (snapshots, observers) for the third back-end;
+//  * the wide-leap row sampler: its pair tables have the distribution of
+//    the two-multinomial construction it replaces.
 //
 // Distributional agreement with the other engines lives in
 // test_statistical.cpp; golden seeded replays in test_golden_seeds.cpp.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "core/batch_pairing.hpp"
 #include "core/engine.hpp"
 #include "core/gillespie_engine.hpp"
 #include "core/observer.hpp"
 #include "core/simulation.hpp"
+#include "core/stats.hpp"
 #include "protocols/angluin.hpp"
 #include "protocols/lottery.hpp"
 #include "protocols/pll.hpp"
@@ -389,6 +395,94 @@ TEST(GillespieRates, RateZeroChannelsNeverFire) {
         EXPECT_FALSE(row.initiator_key == 1 && row.responder_key == 2)
             << "rate-zero channel fired " << row.fired << " times";
     }
+}
+
+// --- wide τ-leaps: row sampler vs two multinomials + pairing ----------------
+
+/// Per-table statistics over `tables` sampled leaps: every cell's
+/// multiplicity (row-major over the census) and the number of distinct cells.
+struct LeapTableSample {
+    static constexpr std::size_t states = 6;
+    std::array<std::vector<double>, states * states> cell;
+    std::vector<double> distinct;
+
+    void add(const BatchPairs& pairs) {
+        std::array<std::uint64_t, states * states> table{};
+        pairs.for_each([&](StateId a, StateId b, std::uint64_t mult) {
+            table[a * states + b] += mult;
+        });
+        std::size_t nonzero = 0;
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            cell[i].push_back(static_cast<double>(table[i]));
+            nonzero += table[i] > 0 ? 1 : 0;
+        }
+        distinct.push_back(static_cast<double>(nonzero));
+    }
+};
+
+StateMultiset as_multiset(const std::vector<std::uint64_t>& drawn) {
+    StateMultiset out;
+    for (std::size_t i = 0; i < drawn.size(); ++i) {
+        if (drawn[i] > 0) out.emplace_back(static_cast<StateId>(i), drawn[i]);
+    }
+    return out;
+}
+
+TEST(LeapRowSampler, TablesMatchTheMultinomialPairingInDistribution) {
+    // The leap a τ-leap engine takes at n = 4096 (L = n/64) over a fixed
+    // six-state census. The dominant state's rows (mean 40.6 picks) cross
+    // the heavy-row cut-over (7·6 = 42) in about a third of the tables, so
+    // both the alias picks and the binomial chain are exercised.
+    const std::vector<std::uint64_t> counts = {2600, 700, 400, 250, 100, 46};
+    const std::uint64_t len = 64;
+    const int tables = 20000;
+    const std::vector<StateId> states = {0, 1, 2, 3, 4, 5};
+
+    LeapTableSample old_tables;
+    Rng old_rng(2024);
+    BatchPairs pairs;
+    for (int t = 0; t < tables; ++t) {
+        const StateMultiset initiators = as_multiset(multinomial(old_rng, counts, len));
+        StateMultiset responders = as_multiset(multinomial(old_rng, counts, len));
+        sample_batch_pairing(BatchMode::automatic, old_rng, initiators, responders, len,
+                             pairs);
+        old_tables.add(pairs);
+    }
+
+    LeapTableSample row_tables;
+    Rng row_rng(4048);
+    LeapRowSampler rows;
+    rows.build(states, counts);
+    for (int t = 0; t < tables; ++t) {
+        const StateMultiset initiators = as_multiset(multinomial(row_rng, counts, len));
+        rows.sample(row_rng, initiators, pairs);
+        ASSERT_TRUE(pairs.aggregated);
+        ASSERT_EQ(pairs.pair_total(), len);
+        // Each row keeps its initiator's multiplicity.
+        std::array<std::uint64_t, LeapTableSample::states> row_sums{};
+        pairs.for_each([&](StateId a, StateId, std::uint64_t mult) { row_sums[a] += mult; });
+        for (const auto& [state, count] : initiators) ASSERT_EQ(row_sums[state], count);
+        row_tables.add(pairs);
+    }
+
+    // Fixed seeds: α = 1e-3 per statistic is a regression bar, as in the KS
+    // harness of test_statistical.cpp.
+    constexpr double alpha = 1e-3;
+    for (std::size_t i = 0; i < old_tables.cell.size(); ++i) {
+        const KsTestResult ks = ks_two_sample(std::span<const double>(old_tables.cell[i]),
+                                              std::span<const double>(row_tables.cell[i]));
+        EXPECT_GT(ks.p_value, alpha) << "cell (" << i / LeapTableSample::states << ", "
+                                     << i % LeapTableSample::states << ") D = " << ks.statistic;
+    }
+    const KsTestResult ks = ks_two_sample(std::span<const double>(old_tables.distinct),
+                                          std::span<const double>(row_tables.distinct));
+    EXPECT_GT(ks.p_value, alpha) << "distinct cells D = " << ks.statistic;
+}
+
+TEST(LeapRowSampler, PaysOnlyWhenTheTableOutgrowsTheLeap) {
+    EXPECT_FALSE(LeapRowSampler::pays(8, 8, 64));
+    EXPECT_TRUE(LeapRowSampler::pays(8, 9, 64));
+    EXPECT_TRUE(LeapRowSampler::pays(150, 150, 4096));
 }
 
 }  // namespace

@@ -31,6 +31,8 @@
 #include "core/batch_pairing.hpp"
 #include "core/calibration.hpp"
 #include "core/engine.hpp"
+#include "core/gillespie_engine.hpp"
+#include "protocols/pll.hpp"
 #include "protocols/registry.hpp"
 
 namespace ppsim {
@@ -139,6 +141,22 @@ std::string golden_name(const ::testing::TestParamInfo<GoldenRun>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Cells, GoldenSeedReplay, ::testing::ValuesIn(golden_runs),
                          golden_name);
+
+// The n = 128 cells above never leap (n < leap_min_population), so the
+// gillespie τ-leap stream at threads = 1 — the default engine path at large
+// n — is pinned here: n = 8192, seed 2019, budget 64·n, as the sharded pins
+// in test_parallel_engines.cpp but sequential.
+TEST(GoldenSeedLeap, PllGillespieAtThreadsOne) {
+    const std::size_t n = 8192;
+    GillespieEngine<Pll> engine(Pll::for_population(n), n, /*seed=*/2019);
+    const RunResult result = engine.run_until_one_leader(static_cast<StepCount>(n) * 64);
+    ASSERT_TRUE(result.converged) << "golden leap run no longer converges";
+    ASSERT_GT(engine.leaps_taken(), 0U) << "golden leap run no longer leaps";
+    ASSERT_TRUE(result.stabilization_step.has_value());
+    EXPECT_EQ(*result.stabilization_step, 112309ULL)
+        << "seeded τ-leap replay semantics changed for pll on gillespie at threads = 1"
+        << " — if the change is intentional, update this pin in the same commit";
+}
 
 }  // namespace
 }  // namespace ppsim

@@ -102,10 +102,10 @@ struct ShardedGoldenRun {
 constexpr ShardedGoldenRun sharded_golden_runs[] = {
     {"pll", EngineKind::batched, BatchMode::automatic, 102950ULL},
     {"pll", EngineKind::batched, BatchMode::pairwise, 132129ULL},
-    {"pll", EngineKind::gillespie, BatchMode::automatic, 99212ULL},
+    {"pll", EngineKind::gillespie, BatchMode::automatic, 164045ULL},
     {"rated_epidemic", EngineKind::batched, BatchMode::pairwise, 35197398ULL},
     {"rated_election", EngineKind::batched, BatchMode::pairwise, 4642136ULL},
-    {"rated_election", EngineKind::gillespie, BatchMode::automatic, 459337ULL},
+    {"rated_election", EngineKind::gillespie, BatchMode::automatic, 17579183ULL},
 };
 
 class ShardedGoldenReplay : public ::testing::TestWithParam<ShardedGoldenRun> {};

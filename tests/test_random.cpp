@@ -527,5 +527,60 @@ TEST(MultivariateHypergeometric, PointerFormSupportsAliasing) {
     EXPECT_EQ(buffer, expected);
 }
 
+TEST(AliasTable, EveryIndexOwnsExactlyItsScaledWeight) {
+    // Capacity n, weights c_i·d: walking all d·n equally likely (bucket,
+    // slot) outcomes must credit each index exactly c_i·d of them.
+    const std::vector<std::uint64_t> counts = {1, 2, 3, 5, 4085};
+    const std::uint64_t n = 4096;
+    AliasTable table;
+    table.build(counts.data(), counts.size());
+    ASSERT_EQ(table.size(), counts.size());
+    ASSERT_EQ(table.capacity(), n);
+    std::vector<std::uint64_t> owned(counts.size(), 0);
+    for (std::size_t bucket = 0; bucket < table.size(); ++bucket) {
+        for (std::uint64_t slot = 0; slot < n; ++slot) {
+            const std::uint32_t i = table.outcome(bucket, slot);
+            ASSERT_LT(i, counts.size());
+            ++owned[i];
+        }
+    }
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        EXPECT_EQ(owned[i], counts[i] * counts.size()) << "index " << i;
+    }
+}
+
+TEST(AliasTable, ZeroWeightsAreNeverDrawnAndRebuildsReplaceTheTable) {
+    AliasTable table;
+    const std::vector<std::uint64_t> first = {0, 7, 0, 9};
+    table.build(first.data(), first.size());
+    Rng rng(5);
+    for (int i = 0; i < 10000; ++i) {
+        const std::uint32_t k = table.sample(rng);
+        EXPECT_TRUE(k == 1 || k == 3) << k;
+    }
+    const std::vector<std::uint64_t> second = {3};
+    table.build(second.data(), second.size());
+    EXPECT_EQ(table.size(), 1U);
+    EXPECT_EQ(table.sample(rng), 0U);
+}
+
+TEST(AliasTable, RejectsCensusesWhoseProductsOverflow) {
+    AliasTable table;
+    // d·n overflows: five weights whose total is 2^62 + 4.
+    const std::vector<std::uint64_t> wide = {std::uint64_t{1} << 62U, 1, 1, 1, 1};
+    EXPECT_THROW(table.build(wide.data(), wide.size()), InvalidArgument);
+    // The total itself overflows.
+    const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    const std::vector<std::uint64_t> huge = {max, 1};
+    EXPECT_THROW(table.build(huge.data(), huge.size()), InvalidArgument);
+    // Nothing to draw from.
+    const std::vector<std::uint64_t> empty_mass = {0, 0};
+    EXPECT_THROW(table.build(empty_mass.data(), empty_mass.size()), InvalidArgument);
+    EXPECT_THROW(table.build(empty_mass.data(), 0), InvalidArgument);
+    // The largest census that still fits builds.
+    const std::vector<std::uint64_t> fits = {(max / 2) - 1, 1};
+    EXPECT_NO_THROW(table.build(fits.data(), fits.size()));
+}
+
 }  // namespace
 }  // namespace ppsim
