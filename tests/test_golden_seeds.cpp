@@ -73,12 +73,17 @@ CalibrationTable golden_hybrid_table() {
     return table;
 }
 
+// GoogleTest names each cell with a byte dump of its GoldenRun, so the
+// protocol name is held inline: a `const char*` would put a string-literal
+// address into the test names, which moves with link layout, build path
+// and address-space randomisation.
 struct GoldenRun {
-    const char* protocol;
+    char protocol[14];
     EngineKind engine;
     BatchMode batch_mode;
     std::uint64_t stabilization_step;
 };
+static_assert(sizeof(GoldenRun) == 24, "GoldenRun has no padding bytes to dump");
 
 // All cells: n = 128, seed = 2019, budget = 50·n² (every run converges).
 constexpr GoldenRun golden_runs[] = {
