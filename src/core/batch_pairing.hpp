@@ -315,15 +315,17 @@ struct ContingencyTablePairing {
 /// A row is filled by x_a picks from an exact integer alias table
 /// (`AliasTable`, random.hpp) over the census, summed into (a, b, mult)
 /// cells in first-pick order; a heavy row (x_a > `heavy_row_factor` · d)
-/// runs the multinomial's binomial chain over the census instead, d draws
-/// in place of x_a picks. Per leap: O(d) to build, at most O(L) picks, and
-/// O(#non-zero cells) downstream applications.
+/// is one `multinomial` (random.hpp) over the census instead, d binomial
+/// draws in place of x_a picks, its cells in census order. Per leap: O(d)
+/// to build, at most O(L) picks, and O(#non-zero cells) downstream
+/// applications.
 class LeapRowSampler {
 public:
-    /// Picks per live state above which a row takes the binomial chain: one
-    /// binomial draw costs about as much as this many alias picks. On
-    /// late-epoch PLL censuses at n = 2^18 (d ≈ 90), factors 3–14 time the
-    /// same and pure alias rows are ~20% slower per leap.
+    /// Picks per live state above which a row takes the multinomial: one
+    /// binomial draw costs about as much as this many alias picks. On the
+    /// late-epoch PLL censuses of the `pll_hybrid_2p18` election benchmark
+    /// (d ≈ 90), alias-only rows lower its late interaction rate by about a
+    /// quarter.
     static constexpr std::uint64_t heavy_row_factor = 7;
 
     /// True when a leap is *wide*: distinct initiators × live states, the
@@ -356,44 +358,25 @@ public:
         out.aggregated = true;
         for (const auto& [state_a, count_a] : initiators) {
             if (count_a > heavy_row_factor * weights_.size()) {
-                chain_row(gen, state_a, count_a, out);
+                multinomial(gen, weights_.data(), weights_.size(), count_a, row_.data());
+                for (std::uint32_t k = 0; k < row_.size(); ++k) {
+                    if (row_[k] > 0) hits_.push_back(k);
+                }
             } else {
-                alias_row(gen, state_a, count_a, out);
+                for (std::uint64_t i = 0; i < count_a; ++i) {
+                    const std::uint32_t k = table_.sample(gen);
+                    if (row_[k]++ == 0) hits_.push_back(k);
+                }
             }
+            for (const std::uint32_t k : hits_) {
+                out.cells.push_back(PairCount{state_a, labels_[k], row_[k]});
+                row_[k] = 0;
+            }
+            hits_.clear();
         }
     }
 
 private:
-    template <typename Generator>
-    void alias_row(Generator& gen, StateId state_a, std::uint64_t count_a, BatchPairs& out) {
-        for (std::uint64_t i = 0; i < count_a; ++i) {
-            const std::uint32_t k = table_.sample(gen);
-            if (row_[k]++ == 0) hits_.push_back(k);
-        }
-        for (const std::uint32_t k : hits_) {
-            out.cells.push_back(PairCount{state_a, labels_[k], row_[k]});
-            row_[k] = 0;
-        }
-        hits_.clear();
-    }
-
-    /// The conditional binomial chain of `multinomial` (random.hpp) over the
-    /// census, emitting one cell per non-zero draw.
-    template <typename Generator>
-    void chain_row(Generator& gen, StateId state_a, std::uint64_t count_a, BatchPairs& out) {
-        std::uint64_t pool = table_.capacity();
-        std::uint64_t remaining = count_a;
-        for (std::size_t k = 0; k < weights_.size() && remaining > 0; ++k) {
-            const std::uint64_t c = weights_[k];
-            const std::uint64_t x = c == pool ? remaining : binomial(gen, remaining, c, pool);
-            pool -= c;
-            if (x > 0) {
-                out.cells.push_back(PairCount{state_a, labels_[k], x});
-                remaining -= x;
-            }
-        }
-    }
-
     AliasTable table_;
     std::vector<StateId> labels_;         ///< table index → state
     std::vector<std::uint64_t> weights_;  ///< census counts by table index

@@ -503,8 +503,7 @@ template <typename Generator>
 /// is the dense reference form: its distribution tests in test_random.cpp
 /// pin the chain math, while the Gillespie engine's τ-leap path runs the
 /// same chain as a sparse specialisation over its (state id, count) live
-/// list (`GillespieEngine::sample_leap_multiset`, and the heavy rows of
-/// `LeapRowSampler` in batch_pairing.hpp) — changes to either
+/// list (`GillespieEngine::sample_leap_multiset`) — changes to either
 /// chain's fast paths should be mirrored in the other, exactly as for the
 /// hypergeometric chain and `ContingencyTablePairing`. `counts` and `out`
 /// may alias.

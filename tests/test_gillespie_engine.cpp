@@ -432,7 +432,7 @@ TEST(LeapRowSampler, TablesMatchTheMultinomialPairingInDistribution) {
     // The leap a τ-leap engine takes at n = 4096 (L = n/64) over a fixed
     // six-state census. The dominant state's rows (mean 40.6 picks) cross
     // the heavy-row cut-over (7·6 = 42) in about a third of the tables, so
-    // both the alias picks and the binomial chain are exercised.
+    // both the alias picks and the multinomial rows are exercised.
     const std::vector<std::uint64_t> counts = {2600, 700, 400, 250, 100, 46};
     const std::uint64_t len = 64;
     const int tables = 20000;
