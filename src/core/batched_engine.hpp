@@ -8,30 +8,43 @@
 /// per stabilisation run. This engine instead represents the configuration
 /// as a dense vector of per-state *counts* (the shared InternedCountStore,
 /// count_store.hpp; states interned on first sight by `StateIndex`) and
-/// advances time in batches, following the scheme of Berenbrink, Hammer,
+/// advances time in multibatch rounds: the batches of Berenbrink, Hammer,
 /// Kaaser, Meyer, Penschuck and Tran ("Simulating Population Protocols in
-/// Sub-Constant Time per Interaction", ESA 2020), the same algorithm behind
-/// Doty & Severson's `ppsim` package:
+/// Sub-Constant Time per Interaction", ESA 2020), kept going past their
+/// collisions as in the multibatching of Doty & Severson's `ppsim` package
+/// (CMSB 2021):
 ///
-///  1. Sample the collision-free run length L — the number of consecutive
-///     interactions whose 2L agents are all distinct (birthday problem,
-///     E[L] = Θ(√n)) — directly from its survival function.
-///  2. The 2L agents are a uniform sample without replacement, so the
-///     initiator and responder state multisets come from multivariate
-///     hypergeometric chains over the count vector, and the pairing between
-///     them is a uniform random bijection. The bijection is delegated to
-///     the pluggable pairing layer (batch_pairing.hpp): contingency-table
-///     sampling (O(#state pairs) per batch) or a Fisher–Yates shuffle of
-///     the expanded responder multiset (Θ(L)), selected by `BatchMode` —
-///     forced, or chosen per batch from the sampled state-count profile.
-///  3. Each distinct ordered state pair (q_u, q_v) is applied through a
+///  1. A round splits the agents into *fresh* (not yet scheduled this
+///     round), *delayed* (in a scheduled fresh–fresh pair whose states are
+///     not drawn yet) and *touched* (state known, in the store's touched
+///     multiset). With j agents used so far, the number of fresh–fresh
+///     interactions before the next collision is sampled from its survival
+///     function (`CollisionRunSampler`; birthday problem, E = Θ(√n) from a
+///     fresh round). Those interactions only grow the delayed set.
+///  2. The collision — the first interaction that involves a used agent —
+///     is sampled exactly (used–used : used–fresh : fresh–used with weights
+///     w(w−1) : w·u : u·w, w = delayed + touched, u = fresh) and simulated
+///     on its own. Fresh and delayed agents are exchangeable, so a fresh
+///     slot or a delayed agent's pair is a uniform draw from their shared
+///     count pool; a delayed agent's partner joins the touched multiset.
+///     The round stops once its collisions reach the live-state count it
+///     started with (or its used agents reach the run sampler's O(√n)
+///     range), or the budget runs out: about √(live states · n)
+///     interactions per round instead of Θ(√n).
+///  3. The pairs still delayed are a uniform sample without replacement of
+///     the pool, so their initiator and responder state multisets come from
+///     multivariate hypergeometric chains over the count vector, and the
+///     pairing between them is a uniform random bijection. The bijection is
+///     delegated to the pluggable pairing layer (batch_pairing.hpp):
+///     contingency-table sampling (O(#state pairs) per round) or a
+///     Fisher–Yates shuffle of the expanded responder multiset (Θ(pairs)),
+///     selected by `BatchMode` — forced, or chosen per round from the
+///     sampled state-count profile.
+///  4. Each distinct ordered state pair (q_u, q_v) is applied through a
 ///     memoised transition table (dense matrix for low ids, hash map
 ///     beyond) and its count delta scaled by the pair's multiplicity —
 ///     O(#distinct pairs) transition evaluations, not O(#interactions).
-///  4. The interaction that ends the batch involves at least one
-///     already-touched agent; it is sampled exactly from the conditional
-///     distribution (both-touched : touched-untouched : untouched-touched
-///     with weights t(t−1) : t(n−t) : (n−t)t) and applied individually.
+///     The touched multiset then folds back into the counts.
 ///
 /// Every step of the construction reproduces the model's semantics in
 /// distribution: ordered pairs stay uniform, and the initiator/responder
@@ -39,24 +52,26 @@
 /// multisets are sampled per slot parity, never merged.
 ///
 /// **Rate-annotated protocols** (RatedProtocol, protocol.hpp) are honoured
-/// by rejection thinning against the maximum rate: each cell of a batch
-/// draws the number of pairs that actually fire as
-/// Binomial(mult, rate/max_rate); the rest met without reacting and re-enter
-/// the touched multiset with their states unchanged — exactly the thinned
-/// chain the agent engine runs pair by pair, so cross-engine agreement is
-/// preserved (KS harness, tests/test_statistical.cpp). Unrated protocols
-/// compile to the identical pre-rate hot path (`if constexpr`), so their
-/// seeded replay streams are bit-for-bit unchanged.
+/// by rejection thinning against the maximum rate: each bulk cell draws the
+/// number of pairs that actually fire as Binomial(mult, rate/max_rate), and
+/// each individually simulated interaction one Bernoulli draw; the rest met
+/// without reacting and re-enter the touched multiset with their states
+/// unchanged — exactly the thinned chain the agent engine runs pair by
+/// pair, so cross-engine agreement is preserved (KS harness,
+/// tests/test_statistical.cpp). Unrated protocols compile without the
+/// thinning draws (`if constexpr`).
 ///
-/// The stabilisation step is recorded *exactly*, not at batch granularity:
-/// when a batch crosses to a single leader, the per-pair leader deltas are
-/// replayed in a uniformly shuffled order (the pair sequence is exchangeable,
-/// so a uniform permutation is the exact conditional order distribution) to
-/// locate the crossing interaction. This happens at most once per run for
+/// The stabilisation step is recorded *exactly*, not at round granularity:
+/// when a round crosses to a single leader, its interactions are replayed
+/// in step order. Collisions sit at known steps; a pair resolved early sits
+/// at a slot drawn uniformly from the fresh-pair slots still pending when it
+/// was resolved; the bulk pairs are exchangeable, so their leader deltas
+/// fill the remaining slots in a uniformly shuffled order (the exact
+/// conditional order distribution). This happens at most once per run for
 /// the absorbing single-leader predicate. For protocols where one leader is
-/// NOT absorbing (the loosely-stabilising baseline), a transient mid-batch
-/// visit to a single leader that the batch leaves again is not observed —
-/// leader-count detection is then batch-granular, a documented deviation
+/// NOT absorbing (the loosely-stabilising baseline), a transient mid-round
+/// visit to a single leader that the round leaves again is not observed —
+/// leader-count detection is then round-granular, a documented deviation
 /// from the agent engine (see README "Choosing an engine").
 #pragma once
 
@@ -91,10 +106,10 @@ class BatchedEngine {
 public:
     using State = typename P::State;
 
-    /// \param threads  intra-run worker count: 1 (default) keeps the
-    /// pre-existing sequential engine bit-for-bit; 0 means hardware
-    /// concurrency; ≥ 2 shards the batch hot loops per the stream-split
-    /// contract (shard.hpp) — replay is exact per (seed, threads) value.
+    /// \param threads  intra-run worker count: 1 (default) runs
+    /// sequentially; 0 means hardware concurrency; ≥ 2 shards the bulk
+    /// phase's hot loops per the stream-split contract (shard.hpp) — replay
+    /// is exact per (seed, threads) value.
     BatchedEngine(P protocol, std::size_t n, std::uint64_t seed,
                   BatchMode batch_mode = BatchMode::automatic, std::size_t threads = 1)
         : protocol_(std::move(protocol)),
@@ -112,9 +127,11 @@ public:
             shard_draws_.resize(threads);
         }
         require(n >= 2, "population must contain at least two agents");
-        // The collision-step case weights t(t−1) and t(n−t) are computed in
-        // 64 bits; with t = Θ(√n) they stay far below 2^64 for any n ≤ 2^32,
-        // which is also the agent-id ceiling of the rest of the library.
+        // A collision's case weights sum to n(n−1) − u(u−1) < 2^64 for any
+        // n ≤ 2^32 (u fresh agents; the used count w = n − u grows to about
+        // √(live states · n) within a round, so w(w−1) is not small), and
+        // `collision` checks the arithmetic. 2^32 is also the agent-id
+        // ceiling of the rest of the library.
         require(n <= (std::uint64_t{1} << 32U),
                 "batched engine supports populations up to 2^32 agents");
         const StateId init = intern(protocol_.initial_state());
@@ -163,7 +180,7 @@ public:
     /// Visits every state with a non-zero count as (state, count, role) —
     /// O(#states) regardless of n, the batched engine's snapshot primitive.
     /// Only valid between public calls (the in-flight touched multiset of a
-    /// batch round has been merged back by then).
+    /// round has been merged back by then).
     template <typename Visitor>
     void visit_counts(Visitor&& visit) const {
         store_.visit_counts(visit);
@@ -202,8 +219,8 @@ public:
     // --- execution --------------------------------------------------------
 
     /// Runs until exactly one leader remains or `max_steps` further steps
-    /// have been executed, whichever comes first. The final batch may run a
-    /// few interactions past the stabilisation step (they cannot change the
+    /// have been executed, whichever comes first. The final round may run
+    /// past the stabilisation step (they cannot change the
     /// outcome: single-leader is absorbing); `stabilization_step` is exact.
     RunResult run_until_one_leader(StepCount max_steps) {
         StepCount executed = 0;
@@ -213,8 +230,8 @@ public:
         return make_result(leader_count_ == 1);
     }
 
-    /// Runs exactly `count` steps: the final batch's collision-free run is
-    /// clamped to the remaining budget, so there is no overrun.
+    /// Runs exactly `count` steps: every round stops at the remaining budget
+    /// (mid-run or at a collision), so there is no overrun.
     RunResult run_for(StepCount count) {
         StepCount executed = 0;
         while (executed < count) executed += round(count - executed);
@@ -347,10 +364,24 @@ private:
                                          [this](const State& s) { return intern(s); });
     }
 
-    // --- batch round ------------------------------------------------------
+    // --- multibatch round ---------------------------------------------------
 
-    /// Executes one batch of at most `budget` interactions; returns the
-    /// number executed (≥ 1 for budget ≥ 1).
+    /// Executes one multibatch round of at most `budget` interactions;
+    /// returns the number executed (≥ 1 for budget ≥ 1).
+    ///
+    /// A round sorts the agents into *fresh* (never scheduled this round,
+    /// `fresh_` of them), *delayed* (in a scheduled fresh–fresh pair not
+    /// drawn yet, `delayed_`) and *touched* (state known, in the store's
+    /// touched multiset). The store's counts hold the states of fresh and
+    /// delayed agents alike (`untouched_` = fresh + delayed): the two kinds
+    /// are exchangeable, so any state the round needs is a uniform draw
+    /// from that pool. Runs of fresh–fresh interactions only grow the
+    /// delayed set; each collision is simulated on its own; the round stops
+    /// once its collisions reach the live-state count it started with (the
+    /// bulk phase below costs Θ(live states), so this keeps the two in
+    /// balance), when its used agents reach the run sampler's range (an
+    /// O(√n) memory bound), or when the budget runs out. The pairs still
+    /// delayed are then drawn in bulk.
     StepCount round(StepCount budget) {
         if (budget == 0) return 0;
         if (n_ < 2) {  // crash fault left a single survivor: no pairs exist
@@ -363,54 +394,155 @@ private:
         // on data-dependent fallback decisions. Consumes no rng_ draws, so
         // threads == 1 and never-sharding runs keep the sequential stream.
         if (shard_ctx_) shard_ctx_->begin_round();
-        const std::uint64_t run = run_sampler_.sample(rng_);
-        // Room for the batch-ending collision interaction only when the
-        // whole collision-free run fits in the budget.
-        const bool with_collision = budget > run;
-        const std::uint64_t fresh = with_collision ? run : budget;
-
+        store_.compact_live();
+        const std::size_t live_states = store_.live_ids().size();
+        const std::size_t leaders_before = leader_count_;
         untouched_ = n_;
+        fresh_ = n_;
+        delayed_ = 0;
+        fresh_pairs_ = 0;
+        collisions_.clear();
+        early_.clear();
 
-        sample_fresh_pairs(fresh);
-        apply_pairs(fresh);
-        StepCount executed = fresh;
-        if (with_collision) {
-            collision_step();
+        StepCount executed = 0;
+        while (true) {
+            const std::uint64_t run = run_sampler_.sample(rng_, n_ - fresh_, budget - executed);
+            fresh_pairs_ += run;
+            fresh_ -= 2 * run;
+            delayed_ += 2 * run;
+            executed += run;
+            if (executed == budget) break;  // the run outlasted the budget
+            collision();
             ++executed;
+            if (executed == budget || collisions_.size() >= live_states ||
+                n_ - fresh_ >= run_sampler_.max_used()) {
+                break;
+            }
+        }
+        resolve_delayed_pairs();
+        const StepCount steps_before = steps_;
+        steps_ += executed;
+        if (!first_single_leader_step_ && leader_count_ == 1 && leaders_before != 1) {
+            first_single_leader_step_ = steps_before + crossing_offset(leaders_before);
         }
         store_.merge_touched();
         return executed;
     }
 
+    /// Outcome of one individually simulated interaction.
+    struct Fired {
+        StateId a;
+        StateId b;
+        std::int8_t leader_delta;
+    };
+
+    /// The round's next interaction after a fresh–fresh run: at least one
+    /// participant is used (delayed or touched). With u fresh and w = n − u
+    /// used agents, the ordered slot cases used–used : used–fresh :
+    /// fresh–used weigh w(w−1) : w·u : u·w; their sum n(n−1) − u(u−1) fits
+    /// in 64 bits for any n ≤ 2^32, and the arithmetic is checked anyway.
+    void collision() {
+        const std::uint64_t u = fresh_;
+        const std::uint64_t w = n_ - u;
+        std::uint64_t w_both = 0;
+        std::uint64_t w_mixed = 0;
+        std::uint64_t total = 0;
+        if (__builtin_mul_overflow(w, w - 1, &w_both) ||
+            __builtin_mul_overflow(w, u, &w_mixed) ||
+            __builtin_add_overflow(w_both, w_mixed, &total) ||
+            __builtin_add_overflow(total, w_mixed, &total)) {
+            throw InvalidArgument("collision weights overflow 64 bits");
+        }
+        const std::uint64_t r = uniform_below(rng_, total);
+        const bool a_used = r < w_both + w_mixed;
+        const bool b_used = r < w_both || r >= w_both + w_mixed;
+        const StateId qa = a_used ? take_used() : take_fresh();
+        const StateId qb = b_used ? take_used() : take_fresh();
+        const Fired f = fire(qa, qb);
+        store_.touch(f.a, 1);
+        store_.touch(f.b, 1);
+        collisions_.push_back({fresh_pairs_, f.leader_delta});
+    }
+
+    /// Applies the transition of one ordered pair through the cache and
+    /// books its leader delta and role change. Rated protocols thin it by
+    /// one Bernoulli draw (a thinned pair met and nothing happened).
+    Fired fire(StateId a, StateId b) {
+        const CachedTransition& tr = transition(a, b);
+        if constexpr (RatedProtocol<P>) {
+            if (tr.fire_weight < 1.0F && (tr.out_a != a || tr.out_b != b) &&
+                uniform_unit(rng_) >= static_cast<double>(tr.fire_weight)) {
+                return {a, b, 0};
+            }
+        }
+        role_change_seen_ = role_change_seen_ || tr.role_changed;
+        leader_count_ = static_cast<std::size_t>(static_cast<std::int64_t>(leader_count_) +
+                                                 tr.leader_delta);
+        return {tr.out_a, tr.out_b, tr.leader_delta};
+    }
+
+    /// A used slot: a uniform pick among the delayed and touched agents.
+    [[nodiscard]] StateId take_used() {
+        const std::uint64_t r = uniform_below(rng_, delayed_ + store_.touched_total());
+        return r < delayed_ ? take_delayed() : take_touched(r - delayed_);
+    }
+
+    /// A fresh slot: one pool draw.
+    [[nodiscard]] StateId take_fresh() {
+        fresh_ -= 1;
+        return take_untouched();
+    }
+
+    /// A delayed agent resolves its pair on the spot: two pool draws give
+    /// the pair's initiator and responder states, the pair fires, and one
+    /// fair bit says which side the agent sat on. Its partner joins the
+    /// touched multiset; the agent's post-pair state is returned. The pair
+    /// sat at one of the fresh-pair slots still pending; which one is drawn
+    /// only if the round reaches one leader (`crossing_offset`).
+    [[nodiscard]] StateId take_delayed() {
+        delayed_ -= 2;
+        const StateId qa = take_untouched();
+        const StateId qb = take_untouched();
+        const Fired f = fire(qa, qb);
+        early_.push_back({fresh_pairs_, f.leader_delta});
+        const bool initiator = (rng_() >> 63U) != 0;
+        store_.touch(initiator ? f.b : f.a, 1);
+        return initiator ? f.a : f.b;
+    }
+
+    /// Draws the round's still-delayed pairs in bulk: initiator multiset,
+    /// responder multiset, then a uniform random bijection between them via
+    /// the pairing layer (batch_pairing.hpp) — contingency-table sampling or
+    /// the expanded-multiset shuffle, per the engine's BatchMode (the `auto`
+    /// heuristic decides per round from the sampled state-count profile) —
+    /// and the cell application.
+    void resolve_delayed_pairs() {
+        const std::uint64_t pairs = delayed_ / 2;
+        delayed_ = 0;
+        pairs_.clear();
+        if (pairs == 0) return;
+        sample_multiset(pairs, initiators_);
+        sample_multiset(pairs, responders_);
+        sample_batch_pairing(batch_mode_, rng_, initiators_, responders_, pairs, pairs_);
+        apply_pairs();
+    }
+
     /// Draws a without-replacement multiset of `k` agents' states from the
-    /// untouched counts (multivariate hypergeometric chain) into `out`.
-    /// `compact` additionally drops dead ids from the live list — only legal
-    /// on the first chain of a round, when a zero count means genuinely
-    /// empty rather than in-flight.
-    void sample_multiset(std::uint64_t k,
-                         std::vector<std::pair<StateId, std::uint64_t>>& out,
-                         bool compact) {
+    /// pool counts (multivariate hypergeometric chain) into `out`.
+    void sample_multiset(std::uint64_t k, std::vector<std::pair<StateId, std::uint64_t>>& out) {
         out.clear();
         if (shard_ctx_ && k >= shard_ctx_->threads() &&
             store_.live_ids().size() >= shard_ctx_->threads() * shard_min_states) {
-            sample_multiset_sharded(k, out, compact);
+            sample_multiset_sharded(k, out);
             return;
         }
-        std::vector<StateId>& live_ids = store_.live_ids();
+        const std::vector<StateId>& live_ids = store_.live_ids();
         std::vector<std::uint64_t>& counts = store_.counts();
         std::uint64_t pool = untouched_;
-        std::size_t i = 0;
-        while (i < live_ids.size()) {
+        for (std::size_t i = 0; i < live_ids.size() && k > 0; ++i) {
             const StateId id = live_ids[i];
             const std::uint64_t c = counts[id];
-            if (c == 0) {
-                if (compact && store_.drop_dead_at(i)) {
-                    continue;  // revisit index i (swapped-in id)
-                }
-                ++i;
-                continue;
-            }
-            if (k == 0) break;
+            if (c == 0) continue;
             const std::uint64_t x = hypergeometric(rng_, pool, c, k);
             pool -= c;
             if (x > 0) {
@@ -419,7 +551,6 @@ private:
                 untouched_ -= x;
                 k -= x;
             }
-            ++i;
         }
         if (k != 0) [[unlikely]] {  // cheap check: no string temporary on the hot path
             ensure(false, "hypergeometric chain under-drew the batch multiset");
@@ -449,10 +580,8 @@ private:
     /// slices in shard order reproduces the sequential live_ids visit order
     /// with a different (but fixed per (seed, threads)) draw stream.
     void sample_multiset_sharded(std::uint64_t k,
-                                 std::vector<std::pair<StateId, std::uint64_t>>& out,
-                                 bool compact) {
-        if (compact) store_.compact_live();  // sequential: mutates the live list
-        std::vector<StateId>& live_ids = store_.live_ids();
+                                 std::vector<std::pair<StateId, std::uint64_t>>& out) {
+        const std::vector<StateId>& live_ids = store_.live_ids();
         std::vector<std::uint64_t>& counts = store_.counts();
         const std::size_t shards = shard_ctx_->threads();
 
@@ -505,25 +634,12 @@ private:
         untouched_ -= k;
     }
 
-    /// Samples the `fresh` ordered state pairs of the collision-free run:
-    /// initiator multiset, responder multiset, then a uniform random
-    /// bijection between them via the pairing layer (batch_pairing.hpp) —
-    /// contingency-table sampling or the expanded-multiset shuffle, per the
-    /// engine's BatchMode (the `auto` heuristic decides per batch from the
-    /// sampled state-count profile).
-    void sample_fresh_pairs(std::uint64_t fresh) {
-        sample_multiset(fresh, initiators_, /*compact=*/true);
-        sample_multiset(fresh, responders_, /*compact=*/false);
-        sample_batch_pairing(batch_mode_, rng_, initiators_, responders_, fresh, pairs_);
-    }
 
-    /// Applies every pair group of the batch through the transition cache;
-    /// locates the exact stabilisation step when this batch crosses to one
-    /// leader. O(#groups): cell count under bulk pairing, batch length under
+    /// Applies every pair group of the bulk phase through the transition
+    /// cache. O(#groups): cell count under bulk pairing, pair count under
     /// pairwise. Rated protocols thin each group binomially first (the
     /// thinned pairs met without reacting).
-    void apply_pairs(std::uint64_t fresh) {
-        const StepCount steps_before = steps_;
+    void apply_pairs() {
         std::int64_t delta_total = 0;
         bool role_changed = false;
         const std::size_t groups = pairs_.group_count();
@@ -558,13 +674,8 @@ private:
             });
         }
         role_change_seen_ = role_change_seen_ || role_changed;
-        steps_ += fresh;
-        const auto post = static_cast<std::size_t>(
-            static_cast<std::int64_t>(leader_count_) + delta_total);
-        if (!first_single_leader_step_ && post == 1 && leader_count_ != 1) {
-            first_single_leader_step_ = steps_before + crossing_offset();
-        }
-        leader_count_ = post;
+        leader_count_ = static_cast<std::size_t>(static_cast<std::int64_t>(leader_count_) +
+                                                 delta_total);
     }
 
     /// Sharded per-cell application: a sequential warm pass populates the
@@ -574,8 +685,8 @@ private:
     /// ShardDelta, rated thinning on its private stream writing fired_mult_
     /// by group index — and the deltas fold into the store in ascending
     /// shard order. Concatenated contiguous slices reproduce the sequential
-    /// visit order, so the store's touched-id ordering (which the collision
-    /// step's draws walk) is independent of scheduling. Unrated protocols
+    /// visit order, so the store's touched-id ordering (which fixes the
+    /// live-list order later draws walk) is independent of scheduling. Unrated protocols
     /// consume no shard randomness here, so their sharded round output is
     /// bit-identical to the sequential cell loop's.
     void apply_pairs_sharded(std::size_t groups, std::int64_t& delta_total,
@@ -630,14 +741,25 @@ private:
         }
     }
 
-    /// The batch's pairs are exchangeable — contingency cells no less than
-    /// shuffled pairs — so the shared replay (`locate_leader_crossing`,
-    /// transition_cache.hpp) localises the crossing from their expanded
-    /// leader deltas. Rated protocols expand each group as its fired count's
-    /// deltas plus zeros for the thinned pairs (null interactions occupy
-    /// step slots too). Called at most once per run (single-leader is
-    /// absorbing).
-    [[nodiscard]] std::uint64_t crossing_offset() {
+    /// Offset (1-based) of the round's interaction that first left exactly
+    /// one leader. Collisions sit at known steps; the fresh-pair slots in
+    /// between hold the delayed pairs. A pair resolved early sat at a slot
+    /// drawn uniformly from the slots still pending when it was resolved;
+    /// the bulk pairs are exchangeable, so their expanded leader deltas —
+    /// rated groups as their fired count's deltas plus zeros for the thinned
+    /// pairs (null interactions occupy step slots too) — fill the remaining
+    /// slots in shuffled order. The whole round is then replayed in step
+    /// order. Called at most once per run (single-leader is absorbing).
+    [[nodiscard]] std::uint64_t crossing_offset(std::size_t leaders_before) {
+        constexpr std::int8_t pending = std::numeric_limits<std::int8_t>::max();
+        slot_deltas_.assign(fresh_pairs_, pending);
+        for (const Resolved& e : early_) {
+            std::uint64_t slot = 0;
+            do {
+                slot = uniform_below(rng_, e.fresh_pairs);
+            } while (slot_deltas_[slot] != pending);
+            slot_deltas_[slot] = e.leader_delta;
+        }
         scratch_deltas_.clear();
         std::size_t group = 0;
         pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
@@ -647,56 +769,40 @@ private:
             } else {
                 (void)group;
             }
-            scratch_deltas_.insert(scratch_deltas_.end(), fired,
-                                   transition(a, b).leader_delta);
+            scratch_deltas_.insert(scratch_deltas_.end(), fired, transition(a, b).leader_delta);
             scratch_deltas_.insert(scratch_deltas_.end(), mult - fired, 0);
         });
-        return locate_leader_crossing(scratch_deltas_, rng_, leader_count_);
-    }
-
-    /// The interaction that ends the batch: at least one participant is an
-    /// already-touched agent. Ordered-slot cases weighted t(t−1) : t(n−t)
-    /// : (n−t)t; a touched slot samples a uniform touched agent (post-batch
-    /// state multiset), an untouched slot a uniform untouched agent. Rated
-    /// protocols thin the single interaction by one Bernoulli draw.
-    void collision_step() {
-        const std::uint64_t t = store_.touched_total();
-        const std::uint64_t m = untouched_;
-        const std::uint64_t w_both = t * (t - 1);
-        const std::uint64_t w_mixed = t * m;
-        const std::uint64_t r = uniform_below(rng_, w_both + 2 * w_mixed);
-        const bool a_touched = r < w_both + w_mixed;
-        const bool b_touched = r < w_both || r >= w_both + w_mixed;
-
-        const StateId qa = a_touched ? take_touched() : take_untouched();
-        const StateId qb = b_touched ? take_touched() : take_untouched();
-        const CachedTransition& tr = transition(qa, qb);
-        if constexpr (RatedProtocol<P>) {
-            if (tr.fire_weight < 1.0F && (tr.out_a != qa || tr.out_b != qb) &&
-                uniform_unit(rng_) >= static_cast<double>(tr.fire_weight)) {
-                // Thinned: the pair met, nothing happened.
-                store_.touch(qa, 1);
-                store_.touch(qb, 1);
-                ++steps_;
-                return;
+        shuffle_vector(scratch_deltas_, rng_);
+        std::size_t next = 0;
+        for (std::int8_t& slot : slot_deltas_) {
+            if (slot == pending) slot = scratch_deltas_[next++];
+        }
+        std::int64_t running = static_cast<std::int64_t>(leaders_before);
+        std::uint64_t step = 0;
+        std::uint64_t slot = 0;
+        const auto advance = [&](std::int8_t delta) {
+            ++step;
+            running += delta;
+            return running == 1;
+        };
+        for (const Resolved& c : collisions_) {
+            for (; slot < c.fresh_pairs; ++slot) {
+                if (advance(slot_deltas_[slot])) return step;
             }
+            if (advance(c.leader_delta)) return step;
         }
-        store_.touch(tr.out_a, 1);
-        store_.touch(tr.out_b, 1);
-        role_change_seen_ = role_change_seen_ || tr.role_changed;
-        leader_count_ = static_cast<std::size_t>(
-            static_cast<std::int64_t>(leader_count_) + tr.leader_delta);
-        ++steps_;
-        if (!first_single_leader_step_ && leader_count_ == 1) {
-            first_single_leader_step_ = steps_;
+        for (; slot < slot_deltas_.size(); ++slot) {
+            if (advance(slot_deltas_[slot])) return step;
         }
+        ensure(false, "leader-count crossing not found within the round");
+        return step;
     }
 
-    // --- touched-multiset draws --------------------------------------------
+    // --- single-agent draws -------------------------------------------------
 
-    /// Removes and returns a uniformly random touched agent's state.
-    [[nodiscard]] StateId take_touched() {
-        std::uint64_t r = uniform_below(rng_, store_.touched_total());
+    /// Removes and returns the state of the touched agent at rank `r` (a
+    /// uniform rank in [0, touched_total) makes it a uniform touched agent).
+    [[nodiscard]] StateId take_touched(std::uint64_t r) {
         for (const StateId id : store_.touched_ids()) {
             const std::uint64_t c = store_.touched()[id];
             if (r < c) {
@@ -709,7 +815,7 @@ private:
         return 0;
     }
 
-    /// Removes and returns a uniformly random untouched agent's state.
+    /// Removes and returns a uniformly random pool agent's state.
     [[nodiscard]] StateId take_untouched() {
         std::uint64_t r = uniform_below(rng_, untouched_);
         for (const StateId id : store_.live_ids()) {
@@ -741,14 +847,26 @@ private:
     Rng fault_rng_;  ///< fault-surgery stream; never touches the batch stream
     CollisionRunSampler run_sampler_;
     InternedCountStore<P> store_;  ///< counts + live list + touched multiset
-    std::uint64_t untouched_ = 0;
+    std::uint64_t untouched_ = 0;    ///< pool agents: fresh + delayed
+    std::uint64_t fresh_ = 0;        ///< agents not yet scheduled this round
+    std::uint64_t delayed_ = 0;      ///< agents in scheduled, undrawn pairs
+    std::uint64_t fresh_pairs_ = 0;  ///< fresh–fresh pairs scheduled this round
+    /// A collision or an early-resolved pair: the fresh pairs scheduled
+    /// before it and its leader delta (the crossing replay's inputs).
+    struct Resolved {
+        std::uint64_t fresh_pairs;
+        std::int8_t leader_delta;
+    };
+    std::vector<Resolved> collisions_;  ///< this round's collisions, in order
+    std::vector<Resolved> early_;       ///< pairs resolved by collisions, in order
     TransitionCache cache_;
     BatchMode batch_mode_ = BatchMode::automatic;
     StateMultiset initiators_;
     StateMultiset responders_;
     BatchPairs pairs_;
     std::vector<std::uint64_t> fired_mult_;  ///< per-group fired count (rated only)
-    std::vector<std::int8_t> scratch_deltas_;
+    std::vector<std::int8_t> scratch_deltas_;  ///< crossing replay: bulk deltas
+    std::vector<std::int8_t> slot_deltas_;     ///< crossing replay: per fresh-pair slot
     std::unique_ptr<ShardContext> shard_ctx_;  ///< null unless threads > 1
     std::vector<ShardDelta> shard_deltas_;     ///< one per shard, reused
     std::vector<StateMultiset> shard_outs_;    ///< per-shard multiset slices

@@ -114,6 +114,6 @@ inline void ensure(bool cond, const std::string& message,
 }
 
 /// Library version, reported by tools and embedded in result artefacts.
-inline constexpr std::string_view library_version = "1.1.0";
+inline constexpr std::string_view library_version = "1.2.0";
 
 }  // namespace ppsim

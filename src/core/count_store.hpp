@@ -54,6 +54,7 @@ public:
             counts_.resize(index_.size(), 0);
             touched_.resize(index_.size(), 0);
             in_live_.resize(index_.size(), 0);
+            in_touched_.resize(index_.size(), 0);
         }
         return id;
     }
@@ -89,9 +90,15 @@ public:
         return true;
     }
 
-    /// Adds `mult` agents in state `id` to the touched side multiset.
+    /// Adds `mult` agents in state `id` to the touched side multiset. An id
+    /// is listed once per round even when `untouch_one` emptied it in
+    /// between — a second listing would double its weight in every later
+    /// walk of `touched_ids()`.
     void touch(StateId id, std::uint64_t mult) {
-        if (touched_[id] == 0) touched_ids_.push_back(id);
+        if (in_touched_[id] == 0) {
+            in_touched_[id] = 1;
+            touched_ids_.push_back(id);
+        }
         touched_[id] += mult;
         touched_total_ += mult;
     }
@@ -101,6 +108,7 @@ public:
         for (const StateId id : touched_ids_) {
             counts_[id] += touched_[id];
             touched_[id] = 0;
+            in_touched_[id] = 0;
             make_live(id);
         }
         touched_ids_.clear();
@@ -125,8 +133,9 @@ public:
     }
     [[nodiscard]] std::uint64_t touched_total() const noexcept { return touched_total_; }
 
-    /// Removes one agent from the touched multiset's entry for `id`
-    /// (the batched engine's collision-step draw).
+    /// Removes one agent from the touched multiset's entry for `id` (the
+    /// batched engine's collision draws). The id stays listed, possibly with
+    /// a zero entry, until `merge_touched`.
     void untouch_one(StateId id) {
         touched_[id] -= 1;
         touched_total_ -= 1;
@@ -234,12 +243,13 @@ public:
 
 private:
     StateIndex<P> index_;
-    std::vector<std::uint64_t> counts_;   ///< agents per state id
-    std::vector<std::uint64_t> touched_;  ///< in-flight round outputs per state id
-    std::vector<StateId> touched_ids_;    ///< ids with touched_[id] > 0
-    std::vector<StateId> live_ids_;       ///< ids that may have counts_[id] > 0
-    std::vector<std::uint8_t> in_live_;   ///< membership flags for live_ids_
-    std::uint64_t touched_total_ = 0;     ///< Σ touched_[id]
+    std::vector<std::uint64_t> counts_;     ///< agents per state id
+    std::vector<std::uint64_t> touched_;    ///< in-flight round outputs per state id
+    std::vector<StateId> touched_ids_;      ///< ids touched this round, each once
+    std::vector<std::uint8_t> in_touched_;  ///< membership flags for touched_ids_
+    std::vector<StateId> live_ids_;         ///< ids that may have counts_[id] > 0
+    std::vector<std::uint8_t> in_live_;     ///< membership flags for live_ids_
+    std::uint64_t touched_total_ = 0;       ///< Σ touched_[id]
 };
 
 }  // namespace ppsim

@@ -738,54 +738,84 @@ template <typename Generator>
     return out;
 }
 
-/// Samples the length of the collision-free run at the start of a batch: the
-/// number L of consecutive uniformly scheduled interactions that touch 2L
-/// distinct agents before an interaction first re-uses an agent (the
-/// birthday-problem run length, E[L] = Θ(√n)). The survival function is
-///   P(L ≥ ℓ) = n! / ((n − 2ℓ)! · (n(n−1))^ℓ),
-/// inverted by binary search on its logarithm. Always returns L ≥ 1 (the
-/// first interaction cannot collide) and L ≤ ⌊n/2⌋. The per-population
-/// constants are precomputed once so a sample costs ~log2(n) cheap
-/// log-factorial evaluations.
+/// Samples collision-free run lengths: the number L of consecutive uniformly
+/// scheduled interactions whose agents are all *fresh* — distinct from each
+/// other and from the `used` agents a round has already involved — before an
+/// interaction first re-uses an agent. With u = n − used fresh agents,
+///   P(L ≥ ℓ) = ∏_{i<ℓ} (u − 2i)(u − 2i − 1) / (n(n−1)) = p(used + 2ℓ) / p(used),
+///   p(j) = n! / ((n − j)! · (n(n−1))^{j/2}),
+/// so one table of p inverts the survival function for every offset by
+/// binary search. The table is built by the recurrence
+/// p(j+1) = p(j) · (n − j) / √(n(n−1)) — one multiply per entry, no libm —
+/// and grows lazily, only as far as a draw needs: memory follows the
+/// largest offset a caller reaches, never O(n) up front. Offsets are
+/// limited to `max_used()` = min(n, 16√n), which keeps every entry a draw
+/// can reach above e^−300 (ln p(j) ≈ −j²/(2n)), far from underflow.
+/// used = 0 is the classic birthday-problem run of a batch (E[L] = Θ(√n),
+/// L ≥ 1). The table is a memo that even the const draw extends, so a
+/// sampler must not be shared between threads.
 class CollisionRunSampler {
 public:
-    explicit CollisionRunSampler(std::uint64_t n) {
-        // Tabulate the survival function by its multiplicative recurrence
-        //   S(ℓ+1) = S(ℓ) · (n−2ℓ)(n−2ℓ−1) / (n(n−1)),
-        // truncated where S drops below any representable uniform draw
-        // (u ≥ 2^−53 ≫ 10^−18). The table is Θ(√n) doubles and a sample is
-        // one binary search over it — no lgamma on the hot path.
-        const std::uint64_t max_run = n / 2;
-        const double pairs = static_cast<double>(n) * (static_cast<double>(n) - 1.0);
-        double s = 1.0;
-        survival_.push_back(s);  // S(1) = 1: the first interaction cannot collide
-        for (std::uint64_t l = 1; l < max_run && s > 1e-18; ++l) {
-            const double fresh = static_cast<double>(n - 2 * l);
-            s *= fresh * (fresh - 1.0) / pairs;
-            survival_.push_back(s);
-        }
-    }
+    explicit CollisionRunSampler(std::uint64_t n)
+        : n_(n),
+          inv_root_(1.0 / std::sqrt(static_cast<double>(n) * static_cast<double>(n - 1))),
+          max_used_(std::min<std::uint64_t>(
+              n, 16 * static_cast<std::uint64_t>(std::sqrt(static_cast<double>(n))))),
+          p_{1.0} {}
 
+    /// Run length of a fresh round (used = 0): always 1 ≤ L ≤ ⌊n/2⌋.
     template <typename Generator>
     [[nodiscard]] std::uint64_t sample(Generator& gen) const {
-        // u ∈ (0, 1]; L = max{ℓ : S(ℓ) ≥ u}, found by binary search on the
-        // decreasing table (survival_[i] = S(i + 1)).
-        const double u = 1.0 - uniform_unit(gen);
-        std::size_t lo = 0;
-        std::size_t hi = survival_.size() - 1;
+        return draw(gen, 0, n_ / 2);
+    }
+
+    /// min(L, cap) for a round that has already used `used` ≤ max_used()
+    /// agents. L may be 0 when used > 0; a result equal to `cap` means "no
+    /// collision within cap".
+    template <typename Generator>
+    [[nodiscard]] std::uint64_t sample(Generator& gen, std::uint64_t used, std::uint64_t cap) {
+        ensure(used <= max_used_, "collision-run offset beyond the sampler's range");
+        return draw(gen, used, cap);
+    }
+
+    /// Largest offset `sample` accepts; callers end a round there.
+    [[nodiscard]] std::uint64_t max_used() const noexcept { return max_used_; }
+
+private:
+    /// Largest k ≤ min(cap, (n − used)/2) with p(used + 2k) ≥ U·p(used).
+    template <typename Generator>
+    [[nodiscard]] std::uint64_t draw(Generator& gen, std::uint64_t used, std::uint64_t cap) const {
+        while (p_.size() <= used) extend();
+        const double target = (1.0 - uniform_unit(gen)) * p_[used];
+        const std::uint64_t reach = std::min(cap, (n_ - used) / 2);
+        const std::uint64_t limit = used + 2 * reach;
+        // p is strictly decreasing from index 1 on, so once an entry falls
+        // below the target every later even offset does too.
+        while (p_.size() <= limit && p_.back() >= target) extend();
+        std::uint64_t lo = 0;
+        std::uint64_t hi = std::min(reach, (p_.size() - 1 - used) / 2);
         while (lo < hi) {
-            const std::size_t mid = lo + (hi - lo + 1) / 2;
-            if (survival_[mid] >= u) {
+            const std::uint64_t mid = lo + (hi - lo + 1) / 2;
+            if (p_[used + 2 * mid] >= target) {
                 lo = mid;
             } else {
                 hi = mid - 1;
             }
         }
-        return lo + 1;
+        // p(2) = p(0) = 1: the first interaction of a fresh round cannot
+        // collide, whatever the last-ulp rounding of p(2).
+        return used == 0 ? std::max(lo, std::min<std::uint64_t>(1, reach)) : lo;
     }
 
-private:
-    std::vector<double> survival_;
+    void extend() const {
+        const auto j = static_cast<double>(p_.size() - 1);
+        p_.push_back(p_.back() * (static_cast<double>(n_) - j) * inv_root_);
+    }
+
+    std::uint64_t n_;
+    double inv_root_;  ///< 1/√(n(n−1))
+    std::uint64_t max_used_;
+    mutable std::vector<double> p_;  ///< p_[j] = p(j), grown on demand
 };
 
 /// One-shot convenience wrapper around CollisionRunSampler.

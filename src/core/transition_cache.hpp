@@ -212,16 +212,17 @@ template <typename P, typename InternFn>
     return tr;
 }
 
-/// Localises the exact stabilisation step inside a batch or leap that
-/// crossed to a single leader: the round's interactions are exchangeable, so
-/// conditioned on their multiset the order is a uniform permutation —
-/// shuffle the per-interaction leader deltas and scan for the first prefix
-/// reaching exactly one leader (1-based offset into the round). The one
-/// shared definition of the replay for every count-based engine; callers
-/// fill `deltas` with one entry per interaction of the round (the batched
-/// engine expands cell multiplicities, the gillespie engine additionally
-/// pads dropped pairs with zeros) and it is consumed in place. Called at
-/// most once per run for the absorbing single-leader predicate.
+/// Localises the exact stabilisation step inside a leap that crossed to a
+/// single leader: the leap's interactions are exchangeable, so conditioned
+/// on their multiset the order is a uniform permutation — shuffle the
+/// per-interaction leader deltas and scan for the first prefix reaching
+/// exactly one leader (1-based offset into the leap). The caller fills
+/// `deltas` with one entry per interaction (the gillespie engine expands
+/// cell multiplicities and pads dropped pairs with zeros) and it is
+/// consumed in place. Called at most once per run for the absorbing
+/// single-leader predicate. (The batched engine's multibatch rounds are not
+/// exchangeable as a whole — their collisions sit at known steps — so it
+/// replays a round in step order itself.)
 template <typename Generator>
 [[nodiscard]] inline std::uint64_t locate_leader_crossing(std::vector<std::int8_t>& deltas,
                                                           Generator& gen,

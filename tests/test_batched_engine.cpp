@@ -2,21 +2,29 @@
 // (src/core/batched_engine.hpp) and its samplers (src/core/random.hpp):
 //
 //  * the hypergeometric sampler matches the exact pmf;
-//  * the collision-free run-length sampler matches brute-force simulation;
+//  * the collision-free run-length sampler matches brute-force simulation,
+//    from a fresh round and from rounds that already used some agents;
+//  * the count store lists a re-touched id once;
 //  * BatchedEngine conserves agent counts, keeps its incremental leader
-//    count consistent, and is deterministic under a fixed seed;
+//    count consistent, runs exact budgets, and is deterministic under a
+//    fixed seed;
+//  * its census after a fixed number of steps agrees with the agent
+//    engine's (chi-square homogeneity);
 //  * the distribution of stabilisation times agrees with the agent-based
 //    Engine (mean/variance tolerance at small n — the two engines sample
 //    the same process through entirely different code paths);
 //  * the registry runs elections on either engine by name.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "core/batch_pairing.hpp"
 #include "core/batched_engine.hpp"
+#include "core/count_store.hpp"
 #include "core/engine.hpp"
 #include "core/random.hpp"
 #include "core/state_index.hpp"
@@ -32,6 +40,86 @@ namespace {
 static_assert(InternableProtocol<Angluin>);
 static_assert(InternableProtocol<Lottery>);
 static_assert(InternableProtocol<Pll>);
+
+/// Upper tail P(χ²_dof ≥ x): the regularised incomplete gamma Q(dof/2,
+/// x/2), by its series below a + 1 and its continued fraction above.
+double chi_square_p_value(double x, std::size_t dof) {
+    const double a = static_cast<double>(dof) / 2.0;
+    const double z = x / 2.0;
+    if (z <= 0.0) return 1.0;
+    const double log_prefix = a * std::log(z) - z - std::lgamma(a);
+    if (z < a + 1.0) {
+        double term = 1.0 / a;
+        double sum = term;
+        for (int i = 1; i < 1000 && term > sum * 1e-15; ++i) {
+            term *= z / (a + i);
+            sum += term;
+        }
+        return 1.0 - sum * std::exp(log_prefix);
+    }
+    const double tiny = 1e-300;
+    double b = z + 1.0 - a;
+    double c = 1.0 / tiny;
+    double d = 1.0 / b;
+    double h = d;
+    for (int i = 1; i < 1000; ++i) {
+        const double an = -i * (i - a);
+        b += 2.0;
+        d = an * d + b;
+        if (std::abs(d) < tiny) d = tiny;
+        c = b + an / c;
+        if (std::abs(c) < tiny) c = tiny;
+        d = 1.0 / d;
+        const double delta = d * c;
+        h *= delta;
+        if (std::abs(delta - 1.0) < 1e-15) break;
+    }
+    return std::exp(log_prefix) * h;
+}
+
+using Histogram = std::map<std::uint64_t, std::uint64_t>;
+
+/// Chi-square homogeneity p-value of two samples over the same integer
+/// bins. Adjacent bins are pooled until every pooled bin expects at least
+/// five observations in each sample; a short tail joins the last full bin.
+double homogeneity_p_value(const Histogram& x, const Histogram& y) {
+    std::uint64_t nx = 0;
+    std::uint64_t ny = 0;
+    Histogram keys;
+    for (const auto& [k, c] : x) {
+        nx += c;
+        keys[k] = 0;
+    }
+    for (const auto& [k, c] : y) {
+        ny += c;
+        keys[k] = 0;
+    }
+    const double fx = static_cast<double>(nx) / static_cast<double>(nx + ny);
+    const double fy = 1.0 - fx;
+    std::vector<std::pair<double, double>> bins;
+    std::pair<double, double> open{0.0, 0.0};
+    for (const auto& entry : keys) {
+        const std::uint64_t k = entry.first;
+        open.first += static_cast<double>(x.count(k) != 0 ? x.at(k) : 0);
+        open.second += static_cast<double>(y.count(k) != 0 ? y.at(k) : 0);
+        const double total = open.first + open.second;
+        if (total * fx >= 5.0 && total * fy >= 5.0) {
+            bins.push_back(open);
+            open = {0.0, 0.0};
+        }
+    }
+    if (bins.empty()) return 1.0;
+    bins.back().first += open.first;
+    bins.back().second += open.second;
+    if (bins.size() < 2) return 1.0;
+    double chi2 = 0.0;
+    for (const auto& [ox, oy] : bins) {
+        const double total = ox + oy;
+        chi2 += (ox - total * fx) * (ox - total * fx) / (total * fx);
+        chi2 += (oy - total * fy) * (oy - total * fy) / (total * fy);
+    }
+    return chi_square_p_value(chi2, bins.size() - 1);
+}
 
 TEST(Samplers, HypergeometricMatchesExactPmf) {
     Rng rng(123);
@@ -92,6 +180,75 @@ TEST(Samplers, CollisionRunMatchesBruteForce) {
         const double p_brute = static_cast<double>(brute[l]) / reps;
         EXPECT_NEAR(p_sampled, p_brute, 0.01) << "L = " << l;
     }
+}
+
+// The offset sampler against brute force: j agents are pre-marked as used
+// and the run counts the fresh–fresh interactions of a uniform scheduler
+// before the first one that involves a used agent (or re-uses one of its
+// own). j = 0 is the fresh round of a batch.
+TEST(Samplers, CollisionRunOffsetMatchesBruteForce) {
+    const std::uint64_t n = 20;
+    const int reps = 200000;
+    for (const std::uint64_t used : {0U, 1U, 5U, 12U}) {
+        Rng rng(31 + used);
+        CollisionRunSampler sampler(n);
+        Histogram sampled;
+        for (int i = 0; i < reps; ++i) ++sampled[sampler.sample(rng, used, n)];
+
+        UniformScheduler scheduler(n, 4242 + used);
+        Histogram brute;
+        for (int i = 0; i < reps; ++i) {
+            std::vector<bool> busy(n, false);
+            for (std::uint64_t a = 0; a < used; ++a) busy[a] = true;
+            std::uint64_t length = 0;
+            while (true) {
+                const Interaction ia = scheduler.next();
+                if (busy[ia.initiator] || busy[ia.responder]) break;
+                busy[ia.initiator] = true;
+                busy[ia.responder] = true;
+                ++length;
+            }
+            ++brute[length];
+        }
+        EXPECT_GT(homogeneity_p_value(sampled, brute), 1e-3) << "used = " << used;
+        if (used == 0) EXPECT_EQ(sampled.count(0), 0U) << "a fresh round always runs";
+    }
+}
+
+// A cap shorter than the run truncates it: the result is min(L, cap).
+TEST(Samplers, CollisionRunOffsetRespectsCap) {
+    CollisionRunSampler sampler(1U << 20U);
+    Rng rng(5);
+    for (int i = 0; i < 1000; ++i) {
+        EXPECT_EQ(sampler.sample(rng, 0, 1), 1U);
+        EXPECT_LE(sampler.sample(rng, 100, 3), 3U);
+    }
+}
+
+// An id emptied by untouch_one and touched again is listed once, so a walk
+// of touched_ids() weighs it by its entry exactly once.
+TEST(BatchedEngineCountStore, RetouchAfterEmptyingListsTheIdOnce) {
+    const Angluin proto;
+    InternedCountStore<Angluin> store;
+    const StateId leader = store.intern(proto, AngluinState{true});
+    const StateId follower = store.intern(proto, AngluinState{false});
+    store.touch(leader, 1);
+    store.touch(follower, 2);
+    store.untouch_one(leader);
+    store.touch(leader, 3);
+    const std::vector<StateId>& ids = store.touched_ids();
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), leader), 1);
+    std::uint64_t listed = 0;
+    for (const StateId id : ids) listed += store.touched()[id];
+    EXPECT_EQ(listed, store.touched_total());
+    EXPECT_EQ(store.touched_total(), 5U);
+
+    store.merge_touched();
+    EXPECT_TRUE(store.touched_ids().empty());
+    EXPECT_EQ(store.counts()[leader], 3U);
+    EXPECT_EQ(store.counts()[follower], 2U);
+    store.touch(leader, 1);
+    EXPECT_EQ(store.touched_ids().size(), 1U);
 }
 
 TEST(StateIndex, InternsByCanonicalKey) {
@@ -172,6 +329,55 @@ TEST(BatchedEngine, VerifyDetectsOngoingChanges) {
     BatchedEngine<Angluin> engine(Angluin{}, n, 5);
     // From the all-leaders initial configuration the outputs churn heavily.
     EXPECT_FALSE(engine.verify_outputs_stable(5'000));
+}
+
+// run_for(k) runs exactly k steps for every k up to 3n: these budgets end
+// rounds mid-run and right at a collision alike, and counts are conserved.
+TEST(BatchedEngine, RunForRunsExactBudgets) {
+    const std::size_t n = 64;
+    for (StepCount k = 1; k <= 3 * n; ++k) {
+        BatchedEngine<Pll> engine(Pll::for_population(n), n, 500 + k);
+        const RunResult r = engine.run_for(k);
+        ASSERT_EQ(r.steps, k);
+        ASSERT_EQ(engine.total_count(), n) << "k = " << k;
+        ASSERT_EQ(engine.recount_leaders(), r.leader_count) << "k = " << k;
+    }
+}
+
+// The census after a fixed number of steps agrees with the agent engine's:
+// chi-square homogeneity of the leader count and of the live-state count
+// at n = 64 after 3n steps. Multibatch rounds take many agents out of the
+// touched multiset, so a multiset that weighs an id twice shows up here.
+TEST(BatchedEngineCensus, FixedStepCensusMatchesAgentEngine) {
+    const std::size_t n = 64;
+    const StepCount steps = 3 * n;
+    const int reps = 80000;
+    const Pll proto = Pll::for_population(n);
+    Histogram agent_leaders;
+    Histogram agent_live;
+    Histogram batched_leaders;
+    Histogram batched_live;
+    std::vector<std::uint64_t> keys;
+    for (int i = 0; i < reps; ++i) {
+        Engine<Pll> agent(proto, n, derive_seed(3000, static_cast<std::uint64_t>(i)));
+        (void)agent.run_for(steps);
+        ++agent_leaders[agent.leader_count()];
+        keys.clear();
+        for (const PllState& s : agent.population().states()) {
+            keys.push_back(state_key_of(proto, s));
+        }
+        std::sort(keys.begin(), keys.end());
+        ++agent_live[static_cast<std::uint64_t>(
+            std::unique(keys.begin(), keys.end()) - keys.begin())];
+
+        BatchedEngine<Pll> batched(proto, n, derive_seed(4000, static_cast<std::uint64_t>(i)));
+        (void)batched.run_for(steps);
+        ASSERT_EQ(batched.total_count(), n);
+        ++batched_leaders[batched.leader_count()];
+        ++batched_live[batched.live_state_count()];
+    }
+    EXPECT_GT(homogeneity_p_value(agent_leaders, batched_leaders), 1e-3);
+    EXPECT_GT(homogeneity_p_value(agent_live, batched_live), 1e-3);
 }
 
 // The acceptance test of the batched engine: stabilisation parallel-time

@@ -375,10 +375,10 @@ struct FaultGoldenCell {
 
 constexpr std::array<FaultGoldenCell, 6> kFaultGoldenCells = {{
     {"churn_election", EngineKind::agent, 1752},
-    {"churn_election", EngineKind::batched, 1973},
+    {"churn_election", EngineKind::batched, 1856},
     {"churn_election", EngineKind::gillespie, 2070},
     {"reset_epidemic", EngineKind::agent, 11584},
-    {"reset_epidemic", EngineKind::batched, 23477},
+    {"reset_epidemic", EngineKind::batched, 6892},
     {"reset_epidemic", EngineKind::gillespie, 7594},
 }};
 

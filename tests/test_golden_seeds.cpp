@@ -88,32 +88,32 @@ static_assert(sizeof(GoldenRun) == 24, "GoldenRun has no padding bytes to dump")
 // All cells: n = 128, seed = 2019, budget = 50·n² (every run converges).
 constexpr GoldenRun golden_runs[] = {
     {"angluin06", EngineKind::agent, BatchMode::automatic, 22269ULL},
-    {"angluin06", EngineKind::batched, BatchMode::automatic, 54877ULL},
-    {"angluin06", EngineKind::batched, BatchMode::pairwise, 12299ULL},
-    {"angluin06", EngineKind::batched, BatchMode::bulk, 51111ULL},
+    {"angluin06", EngineKind::batched, BatchMode::automatic, 5757ULL},
+    {"angluin06", EngineKind::batched, BatchMode::pairwise, 11973ULL},
+    {"angluin06", EngineKind::batched, BatchMode::bulk, 5757ULL},
     {"angluin06", EngineKind::gillespie, BatchMode::automatic, 15103ULL},
     {"lottery", EngineKind::agent, BatchMode::automatic, 1138ULL},
-    {"lottery", EngineKind::batched, BatchMode::automatic, 1234ULL},
-    {"lottery", EngineKind::batched, BatchMode::pairwise, 1388ULL},
-    {"lottery", EngineKind::batched, BatchMode::bulk, 1174ULL},
+    {"lottery", EngineKind::batched, BatchMode::automatic, 1256ULL},
+    {"lottery", EngineKind::batched, BatchMode::pairwise, 1242ULL},
+    {"lottery", EngineKind::batched, BatchMode::bulk, 700ULL},
     {"lottery", EngineKind::gillespie, BatchMode::automatic, 830ULL},
     {"pll", EngineKind::agent, BatchMode::automatic, 770ULL},
-    {"pll", EngineKind::batched, BatchMode::automatic, 15654ULL},
-    {"pll", EngineKind::batched, BatchMode::pairwise, 797ULL},
-    {"pll", EngineKind::batched, BatchMode::bulk, 1250ULL},
+    {"pll", EngineKind::batched, BatchMode::automatic, 871ULL},
+    {"pll", EngineKind::batched, BatchMode::pairwise, 32551ULL},
+    {"pll", EngineKind::batched, BatchMode::bulk, 33359ULL},
     {"pll", EngineKind::gillespie, BatchMode::automatic, 16354ULL},
     {"pll_symmetric", EngineKind::agent, BatchMode::automatic, 33708ULL},
-    {"pll_symmetric", EngineKind::batched, BatchMode::automatic, 16602ULL},
+    {"pll_symmetric", EngineKind::batched, BatchMode::automatic, 1327ULL},
     {"pll_symmetric", EngineKind::gillespie, BatchMode::automatic, 32938ULL},
     {"mst18_style", EngineKind::agent, BatchMode::automatic, 2611ULL},
     {"mst18_style", EngineKind::gillespie, BatchMode::automatic, 2347ULL},
     // Hybrid cells replay under golden_hybrid_table() — segment 0 runs on
     // the hybrid segment stream (derive_seed(seed, hybrid_segment_tag)), so
     // these values differ from the fixed-engine cells by design.
-    {"angluin06", EngineKind::hybrid, BatchMode::automatic, 22026ULL},
-    {"lottery", EngineKind::hybrid, BatchMode::automatic, 971ULL},
-    {"pll", EngineKind::hybrid, BatchMode::automatic, 910ULL},
-    {"pll_symmetric", EngineKind::hybrid, BatchMode::automatic, 670ULL},
+    {"angluin06", EngineKind::hybrid, BatchMode::automatic, 15671ULL},
+    {"lottery", EngineKind::hybrid, BatchMode::automatic, 746ULL},
+    {"pll", EngineKind::hybrid, BatchMode::automatic, 32293ULL},
+    {"pll_symmetric", EngineKind::hybrid, BatchMode::automatic, 1350ULL},
 };
 
 class GoldenSeedReplay : public ::testing::TestWithParam<GoldenRun> {};
